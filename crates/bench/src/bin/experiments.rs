@@ -1,5 +1,5 @@
 //! The experiment runner: regenerates every figure and quantitative claim
-//! of the paper as printed tables (the series recorded in EXPERIMENTS.md).
+//! of the paper as printed tables, one `E<n>` section per experiment.
 //!
 //! Run with: `cargo run -p seqlog-bench --bin experiments --release`
 

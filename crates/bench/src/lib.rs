@@ -2,8 +2,8 @@
 //! runner.
 //!
 //! Every figure and quantitative claim of the paper maps to one experiment
-//! (see DESIGN.md §3 for the index and EXPERIMENTS.md for recorded
-//! results). The builders are deterministic (seeded `StdRng`) so benchmark
+//! (the index is the `E1`…`E14` section list of `src/bin/experiments.rs`,
+//! whose report prints the results). The builders are deterministic (seeded `StdRng`) so benchmark
 //! runs and the printed experiment report see identical workloads.
 
 use rand::rngs::StdRng;

@@ -50,6 +50,23 @@ pub struct Stratum {
     pub constructive: bool,
 }
 
+impl Stratum {
+    /// The one stratum holding every clause, flags ORed over all of them:
+    /// the schedule [`crate::eval::Scheduling::Global`] and
+    /// [`crate::eval::Strategy::Naive`] run on, so each of their rounds
+    /// plans every clause. It is a scheduling device, not a component of
+    /// the condensation: `preds` stays empty and `recursive` false, since
+    /// the evaluator reads only the clause list and the other two flags.
+    pub fn single(clauses: &[CompiledClause]) -> Self {
+        Self {
+            clauses: (0..clauses.len() as u32).collect(),
+            domain_sensitive: clauses.iter().any(|c| c.domain_sensitive),
+            constructive: clauses.iter().any(|c| c.constructive),
+            ..Self::default()
+        }
+    }
+}
+
 /// The stratified evaluation schedule of a compiled program.
 ///
 /// `strata[i]` is the component with Tarjan id `i`; because component ids

@@ -106,6 +106,12 @@
 //! enumerate the extended active domain) are additionally re-evaluated in
 //! full whenever the domain has grown.
 //!
+//! All of this runs in one round loop, [`Fixpoint::run`], over a list of
+//! strata: the program's SCC condensation by default
+//! ([`Scheduling::Stratified`]), or the one-stratum schedule holding every
+//! clause under [`Scheduling::Global`] and [`Strategy::Naive`] (where every
+//! round is a full round).
+//!
 //! # Reading [`EvalStats`]
 //!
 //! `stats.derivations` counts **head instantiations attempted** (recipes
@@ -119,6 +125,7 @@
 pub mod interp;
 pub mod matcher;
 
+use crate::analysis::Stratum;
 use crate::compile::{
     compile, CBase, CBody, CIdx, CSeq, CompileError, CompiledProgram, PredId, PredTable,
 };
@@ -146,10 +153,13 @@ pub enum Strategy {
 
 /// How semi-naive rounds are scheduled over the program's clauses.
 ///
-/// Both modes compute the same least fixpoint (differentially fuzzed) and
-/// are each bit-for-bit deterministic across thread counts; they differ in
+/// Both modes run the same round loop ([`Fixpoint::run`]) over a list of
+/// strata, compute the same least fixpoint (differentially fuzzed) and are
+/// each bit-for-bit deterministic across thread counts; they differ in
 /// which clauses a round scans, so [`EvalStats::rounds`] and
-/// [`EvalStats::derivations`] are comparable only within one mode.
+/// [`EvalStats::derivations`] are comparable only within one mode. In
+/// both, a round counts only when it plans at least one match task, plus
+/// the one quiescence round every `run` pays.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Scheduling {
     /// Walk the compiled program's SCC condensation
@@ -158,8 +168,10 @@ pub enum Scheduling {
     /// skipping strata whose inputs have not changed (default).
     #[default]
     Stratified,
-    /// Scan every clause in every round (the pre-stratification loop) —
-    /// kept as the differential oracle for the stratified scheduler.
+    /// Run the same loop over the one-stratum schedule
+    /// ([`crate::analysis::Stratum::single`]), so every round scans every
+    /// clause — kept as the differential oracle for the stratified
+    /// scheduler.
     Global,
 }
 
@@ -169,7 +181,8 @@ pub struct EvalConfig {
     /// Strategy to use.
     pub strategy: Strategy,
     /// Round scheduling for [`Strategy::SemiNaive`] (ignored under
-    /// [`Strategy::Naive`], which is inherently global).
+    /// [`Strategy::Naive`], which always runs the one-stratum schedule).
+    /// Both modes share one round loop.
     pub scheduling: Scheduling,
     /// Maximum T-operator rounds.
     pub max_rounds: usize,
@@ -272,7 +285,9 @@ pub enum BudgetKind {
 /// Counters describing an evaluation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EvalStats {
-    /// T-operator rounds performed.
+    /// T-operator rounds performed: rounds that planned at least one match
+    /// task, plus the one quiescence round every [`Fixpoint::run`] pays (a
+    /// run over a settled state costs exactly one round).
     pub rounds: usize,
     /// Facts in the final (or partial) interpretation.
     pub facts: usize,
@@ -570,10 +585,11 @@ pub struct AssertOutcome {
 /// re-evaluation from scratch computes.
 ///
 /// `stats` accumulate across runs (`rounds` counts every round ever
-/// executed); the `max_rounds` budget is enforced **per run**, so a
-/// long-lived session is not eventually starved by its own uptime. The
-/// remaining budgets (`max_facts`, `max_domain`, `max_seq_len`) bound the
-/// cumulative state and behave exactly as in batch evaluation.
+/// executed, see [`EvalStats::rounds`]); the `max_rounds` budget is
+/// enforced **per run**, so a long-lived session is not eventually starved
+/// by its own uptime. The remaining budgets (`max_facts`, `max_domain`,
+/// `max_seq_len`) bound the cumulative state and behave exactly as in batch
+/// evaluation.
 #[derive(Clone, Debug)]
 pub struct Fixpoint {
     facts: FactStore,
@@ -916,191 +932,25 @@ impl Fixpoint {
     /// Drive the three-phase round loop to quiescence, resuming from the
     /// facts asserted since the last run (they — plus any domain growth —
     /// are the first resumed round's delta). On a fresh state this is
-    /// exactly batch evaluation. Each call executes at least one round
-    /// (a settled state pays one quiescence-check round); `max_rounds`
-    /// bounds the rounds of *this* call, while the size budgets bound the
-    /// cumulative state.
+    /// exactly batch evaluation. A round counts toward
+    /// [`EvalStats::rounds`] only when it plans at least one match task,
+    /// plus the one quiescence round every call pays: a settled state costs
+    /// exactly one round. `max_rounds` bounds the planned rounds of *this*
+    /// call, while the size budgets bound the cumulative state.
     ///
-    /// On error the state is a sound under-approximation of the least
-    /// fixpoint, and the round watermarks have *not* advanced past the
-    /// interrupted round — a later `run` (say, with larger budgets)
-    /// re-derives it and still converges to `lfp(T_{P,db})`.
-    /// [`crate::session::EngineSession`] nevertheless poisons on error;
-    /// retrying is a `Fixpoint`-level affordance.
-    ///
-    /// Under the default [`Scheduling::Stratified`] the round loop walks
-    /// the program's SCC condensation in topological order (see
-    /// [`Fixpoint::run_stratified`]); [`Scheduling::Global`] — and
-    /// [`Strategy::Naive`], which is inherently global — scan every clause
-    /// in every round. Both converge to the same `lfp(T_{P,db})`.
-    pub fn run(
-        &mut self,
-        program: &CompiledProgram,
-        store: &mut SeqStore,
-        registry: &TransducerRegistry,
-        config: &EvalConfig,
-    ) -> Result<(), EvalError> {
-        if config.strategy == Strategy::SemiNaive && config.scheduling == Scheduling::Stratified {
-            self.run_stratified(program, store, registry, config)
-        } else {
-            self.run_global(program, store, registry, config)
-        }
-    }
-
-    /// The unstratified round loop: every round scans every clause.
-    fn run_global(
-        &mut self,
-        program: &CompiledProgram,
-        store: &mut SeqStore,
-        registry: &TransducerRegistry,
-        config: &EvalConfig,
-    ) -> Result<(), EvalError> {
-        let threads = match config.threads {
-            0 => default_threads(),
-            n => n,
-        };
-        check_budgets(&self.facts, &self.domain, config, &mut self.stats)?;
-
-        let rounds_at_entry = self.stats.rounds;
-        let any_constructive = program.clauses.iter().any(|c| c.constructive);
-        let mut members: Vec<SeqId> = Vec::new();
-        let mut tasks: Vec<MatchTask> = Vec::new();
-
-        loop {
-            if self.stats.rounds - rounds_at_entry >= config.max_rounds {
-                finalize_stats(&mut self.stats, &self.facts, &self.domain);
-                return Err(EvalError::Budget {
-                    kind: BudgetKind::Rounds,
-                    stats: self.stats,
-                });
-            }
-            self.stats.rounds += 1;
-
-            let sizes_now = self.facts.sizes();
-            let domain_now = self.domain.len();
-            let full_round = self.virgin || config.strategy == Strategy::Naive;
-
-            // Plan the round's match tasks.
-            tasks.clear();
-            for (ci, clause) in program.clauses.iter().enumerate() {
-                if full_round {
-                    tasks.push(MatchTask {
-                        clause: ci,
-                        delta: None,
-                    });
-                    continue;
-                }
-                // Domain-sensitive clauses re-run in full whenever the
-                // domain grew — *including* body-empty ones like
-                // `p(X, X) :- true.`, whose free head variables range over
-                // the domain (checked before the ground-clause skip below:
-                // skipping first loses their new-member instantiations,
-                // both on session resume and in late batch rounds).
-                let domain_grew = domain_now > self.domain_done;
-                if clause.domain_sensitive && domain_grew {
-                    tasks.push(MatchTask {
-                        clause: ci,
-                        delta: None,
-                    });
-                    continue;
-                }
-                // Semi-naive: ground facts fire only in the full first
-                // round (and above, when they are domain-sensitive).
-                if clause.body.is_empty() {
-                    continue;
-                }
-                for (li, lit) in clause.body.iter().enumerate() {
-                    let CBody::Atom(atom) = lit else {
-                        continue;
-                    };
-                    let before = self.sizes_done.get(atom.pred.index()).copied().unwrap_or(0);
-                    let now = sizes_now.get(atom.pred.index()).copied().unwrap_or(0);
-                    let mut from = before;
-                    while from < now {
-                        let to = (from + DELTA_CHUNK).min(now);
-                        tasks.push(MatchTask {
-                            clause: ci,
-                            delta: Some((li, from, to)),
-                        });
-                        from = to;
-                    }
-                }
-            }
-
-            // Snapshot for free-variable enumeration: substitutions in this
-            // round range over the domain of the interpretation entering it.
-            // Only domain-sensitive clauses enumerate members (every other
-            // clause binds all slots from matched facts), so the snapshot is
-            // taken only when the plan contains one.
-            members.clear();
-            if tasks
-                .iter()
-                .any(|t| program.clauses[t.clause].domain_sensitive)
-            {
-                members.extend(self.domain.iter());
-            }
-
-            // Phase 1: read-only matching + frozen head evaluation,
-            // sharded across workers.
-            let mut bufs = match_eval_round(
-                program,
-                &tasks,
-                store,
-                &self.facts,
-                &self.domain,
-                &members,
-                &self.sizes_done,
-                registry,
-                config,
-                threads,
-            );
-
-            // Phases 2 + 3: sharded commit, then the deterministic merge
-            // in task order.
-            let added = commit_round(
-                program,
-                &tasks,
-                &mut bufs,
-                store,
-                &mut self.facts,
-                &mut self.domain,
-                config,
-                &mut self.stats,
-                threads,
-                any_constructive,
-            )?;
-
-            // Watermarks (and the virgin flag) advance only once the round
-            // has fully committed: a mid-commit error (`?` above) leaves
-            // them untouched, so the interrupted round's delta re-fires on
-            // a later run instead of being silently lost — re-matching is
-            // idempotent (the fact store dedupes), which is what makes an
-            // errored `Fixpoint` safe to retry with larger budgets.
-            self.sizes_done = sizes_now;
-            self.domain_done = domain_now;
-            self.virgin = false;
-
-            if added == 0 {
-                break;
-            }
-        }
-
-        finalize_stats(&mut self.stats, &self.facts, &self.domain);
-        Ok(())
-    }
-
-    /// The SCC-stratified round loop — the [`Scheduling::Stratified`]
-    /// default for [`Strategy::SemiNaive`].
-    ///
-    /// Strata ([`crate::analysis::Schedule`]) are visited in topological
-    /// order; within a stratum, semi-naive rounds run over only that
-    /// stratum's clauses until it quiesces. A predicate is only ever
-    /// inserted into by its own (head) stratum's clauses, so when a
+    /// Every mode runs this one loop over a list of strata (see the
+    /// [module docs](self)): the SCC condensation by default, the
+    /// one-stratum schedule ([`Stratum::single`]) under
+    /// [`Scheduling::Global`] and [`Strategy::Naive`]. Strata are visited
+    /// in topological order; within a stratum, semi-naive rounds run over
+    /// only that stratum's clauses until it quiesces. A predicate is only
+    /// ever inserted into by its own (head) stratum's clauses, so when a
     /// stratum runs, every input from an earlier stratum is already
     /// settled — except that commits in later strata can still grow the
     /// **extended active domain**, which re-arms earlier strata's
-    /// domain-sensitive clauses. An outer pass loop therefore repeats the
-    /// topological sweep until a full pass derives nothing.
+    /// domain-sensitive clauses. The topological sweep therefore repeats
+    /// exactly while some domain-sensitive stratum has fallen behind the
+    /// domain.
     ///
     /// A stratum whose input deltas are empty and whose domain watermark
     /// is current plans zero tasks and is skipped without paying a round.
@@ -1117,21 +967,22 @@ impl Fixpoint {
     /// advance only when the run *succeeds*: per-stratum watermarks
     /// diverge from them only for the duration of the call, and at
     /// quiescence every stratum has processed every input, so they
-    /// collapse to the final sizes. A mid-run error leaves the entry
-    /// watermarks in place and a later run re-derives the interrupted
-    /// rounds (idempotent — the fact store dedupes), exactly like the
-    /// global loop; durable-session snapshot formats are unaffected.
-    fn run_stratified(
+    /// collapse to the final sizes (durable-session snapshot formats are
+    /// unaffected). On error the state is therefore a sound
+    /// under-approximation of the least fixpoint with the entry watermarks
+    /// in place: a later `run` (say, with larger budgets) re-derives the
+    /// interrupted rounds (idempotent — the fact store dedupes) and still
+    /// converges to `lfp(T_{P,db})`. [`crate::session::EngineSession`]
+    /// nevertheless poisons on error; retrying is a `Fixpoint`-level
+    /// affordance.
+    pub fn run(
         &mut self,
         program: &CompiledProgram,
         store: &mut SeqStore,
         registry: &TransducerRegistry,
         config: &EvalConfig,
     ) -> Result<(), EvalError> {
-        let threads = match config.threads {
-            0 => default_threads(),
-            n => n,
-        };
+        let threads = worker_threads(config);
         check_budgets(&self.facts, &self.domain, config, &mut self.stats)?;
 
         let rounds_at_entry = self.stats.rounds;
@@ -1143,8 +994,15 @@ impl Fixpoint {
             });
         }
 
-        let schedule = &program.schedule;
-        let ns = schedule.strata.len();
+        let naive = config.strategy == Strategy::Naive;
+        let single;
+        let strata: &[Stratum] = if naive || config.scheduling == Scheduling::Global {
+            single = [Stratum::single(&program.clauses)];
+            &single
+        } else {
+            &program.schedule.strata
+        };
+        let ns = strata.len();
         // Per-stratum watermarks; `None` means "this stratum has not run
         // in this call yet — measure its delta from the global watermarks".
         let mut done: Vec<Option<Vec<usize>>> = vec![None; ns];
@@ -1154,22 +1012,27 @@ impl Fixpoint {
         let mut tasks: Vec<MatchTask> = Vec::new();
 
         loop {
-            let mut pass_added = false;
-            for (si, stratum) in schedule.strata.iter().enumerate() {
+            for (si, stratum) in strata.iter().enumerate() {
                 if stratum.clauses.is_empty() {
                     continue; // source stratum: database-only predicates
                 }
                 loop {
                     let domain_now = self.domain.len();
                     let domain_grew = domain_now > sdomain[si];
-                    let full = svirgin[si];
+                    let full = svirgin[si] || naive;
 
-                    // Plan this stratum round; planning mirrors the global
-                    // loop, restricted to the stratum's clauses.
+                    // Plan this stratum round.
                     tasks.clear();
                     for &ci in &stratum.clauses {
                         let ci = ci as usize;
                         let clause = &program.clauses[ci];
+                        // Domain-sensitive clauses re-run in full whenever
+                        // the domain grew — *including* body-empty ones
+                        // like `p(X, X) :- true.`, whose free head
+                        // variables range over the domain (checked before
+                        // the ground-clause skip below: skipping first
+                        // loses their new-member instantiations, both on
+                        // session resume and in late batch rounds).
                         if full || (clause.domain_sensitive && domain_grew) {
                             tasks.push(MatchTask {
                                 clause: ci,
@@ -1177,6 +1040,8 @@ impl Fixpoint {
                             });
                             continue;
                         }
+                        // Semi-naive: ground facts fire only in the full
+                        // first round (and above, when domain-sensitive).
                         if clause.body.is_empty() {
                             continue;
                         }
@@ -1215,6 +1080,12 @@ impl Fixpoint {
                     self.stats.rounds += 1;
 
                     let sizes_now = self.facts.sizes();
+                    // Snapshot for free-variable enumeration: substitutions
+                    // in this round range over the domain of the
+                    // interpretation entering it. Only domain-sensitive
+                    // clauses enumerate members (every other clause binds
+                    // all slots from matched facts), so the snapshot is
+                    // taken only when the plan contains one.
                     members.clear();
                     if tasks
                         .iter()
@@ -1226,6 +1097,8 @@ impl Fixpoint {
                         Some(v) => v,
                         None => &self.sizes_done,
                     };
+                    // Phase 1: read-only matching + frozen head evaluation,
+                    // sharded across workers.
                     let mut bufs = match_eval_round(
                         program,
                         &tasks,
@@ -1238,6 +1111,8 @@ impl Fixpoint {
                         config,
                         threads,
                     );
+                    // Phases 2 + 3: sharded commit, then the deterministic
+                    // merge in task order.
                     let added = commit_round(
                         program,
                         &tasks,
@@ -1253,21 +1128,25 @@ impl Fixpoint {
                     done[si] = Some(sizes_now);
                     sdomain[si] = domain_now;
                     svirgin[si] = false;
-                    if added > 0 {
-                        pass_added = true;
-                    } else {
+                    if added == 0 {
                         break;
                     }
                 }
             }
-            if !pass_added {
+            // Every stratum ended its last round with nothing added, so only
+            // domain growth from a later stratum can have re-armed one.
+            let domain_len = self.domain.len();
+            let rearmed = strata
+                .iter()
+                .zip(&sdomain)
+                .any(|(s, &seen)| s.domain_sensitive && seen < domain_len);
+            if !rearmed {
                 break;
             }
         }
 
         // Contract: every `run` call executes at least one round — a fully
-        // settled state pays the same single quiescence round the global
-        // loop does.
+        // settled state pays a single quiescence round.
         if self.stats.rounds == rounds_at_entry {
             self.stats.rounds += 1;
         }
@@ -1572,10 +1451,7 @@ impl Fixpoint {
                 })
                 .collect();
             if !tasks.is_empty() {
-                let threads = match config.threads {
-                    0 => default_threads(),
-                    n => n,
-                };
+                let threads = worker_threads(config);
                 self.stats.rounds += 1;
                 let mut bufs = match_eval_round(
                     program,
@@ -1636,12 +1512,17 @@ fn rebuild_surviving_domain(
     domain
 }
 
-/// `available_parallelism()`, resolved once per process: on Linux it reads
-/// cgroup quota files, which costs tens of microseconds — too much to pay
-/// per evaluation of a small program.
-fn default_threads() -> usize {
+/// The worker count of [`EvalConfig::threads`], with `0` resolved to
+/// `available_parallelism()` once per process: on Linux that reads cgroup
+/// quota files, which costs tens of microseconds — too much to pay per
+/// evaluation of a small program.
+fn worker_threads(config: &EvalConfig) -> usize {
     static N: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *N.get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
+    match config.threads {
+        0 => *N
+            .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get)),
+        n => n,
+    }
 }
 
 /// Minimum estimated candidate-tuple count in a round before the match

@@ -191,15 +191,11 @@ pub struct DurabilityOptions {
     pub sync_data: bool,
     /// Snapshots retained after a new one is written.
     pub snapshots_kept: usize,
-    /// Test-only mutant: skip WAL checksum verification. Exists so the
-    /// recovery fuzz harness can prove its oracle catches a weakened
-    /// reader; never set in production.
+    /// Test-only mutants of the log reader (skip checksums, skip torn-tail
+    /// truncation). Exist so the recovery fuzz harness can prove its
+    /// oracle catches a weakened reader; never set in production.
     #[doc(hidden)]
-    pub danger_skip_crc: bool,
-    /// Test-only mutant: treat a torn tail as a hard error instead of
-    /// truncating it.
-    #[doc(hidden)]
-    pub danger_skip_tail_truncation: bool,
+    pub wal_read: WalReadOptions,
     /// Test-only mutant: restore snapshots with stale (fully caught-up)
     /// watermarks, erasing pending facts from the next run's delta.
     #[doc(hidden)]
@@ -212,18 +208,8 @@ impl Default for DurabilityOptions {
             snapshot_every: 64,
             sync_data: false,
             snapshots_kept: 2,
-            danger_skip_crc: false,
-            danger_skip_tail_truncation: false,
+            wal_read: WalReadOptions::default(),
             danger_stale_watermarks: false,
-        }
-    }
-}
-
-impl DurabilityOptions {
-    fn read_options(&self) -> WalReadOptions {
-        WalReadOptions {
-            danger_verify_crc: !self.danger_skip_crc,
-            danger_truncate_torn_tail: !self.danger_skip_tail_truncation,
         }
     }
 }
@@ -461,7 +447,7 @@ impl EngineSession {
         drop(fresh);
         fs::rename(&tmp, &wal_path)
             .map_err(|e| EvalError::Recovery(RecoveryError::io("rename compacted log", &e)))?;
-        let contents = read_wal(&wal_path, &d.opts.read_options()).map_err(EvalError::Recovery)?;
+        let contents = read_wal(&wal_path, &d.opts.wal_read).map_err(EvalError::Recovery)?;
         d.wal = WalWriter::reopen(&wal_path, &contents, d.opts.sync_data)
             .map_err(EvalError::Recovery)?;
         Ok(())
@@ -594,7 +580,7 @@ impl EngineSession {
     /// any error `self` is untouched.
     fn attach_recover(&mut self, dir: PathBuf, opts: DurabilityOptions) -> Result<(), EvalError> {
         let wal_path = dir.join(WAL_FILE);
-        let contents = read_wal(&wal_path, &opts.read_options()).map_err(EvalError::Recovery)?;
+        let contents = read_wal(&wal_path, &opts.wal_read).map_err(EvalError::Recovery)?;
         let last_index = contents.base_index + contents.records.len() as u64;
 
         // Newest snapshot consistent with the log. A snapshot claiming

@@ -358,7 +358,7 @@ impl SessionSnapshot {
     /// exactly a permutation of that rebuilt closure.
     ///
     /// `stale_watermarks` is a test-only mutant (see
-    /// [`crate::wal::WalReadOptions`]): it marks every loaded fact as
+    /// [`crate::session::DurabilityOptions`]): it marks every loaded fact as
     /// already processed, which the recovery fuzz oracle must catch.
     pub fn install(
         &self,

@@ -350,23 +350,14 @@ pub fn decode_record(payload: &[u8]) -> Result<WalRecord, String> {
 /// How to read a log. The `danger_*` fields weaken the reader and exist
 /// **only** so the recovery fuzz harness can prove its oracle catches a
 /// weakened implementation (mutation testing); production code never sets
-/// them.
-#[derive(Clone, Copy, Debug)]
+/// them, and the default (all `false`) is the production reader. A durable
+/// session reads its log with [`crate::session::DurabilityOptions::wal_read`].
+#[derive(Clone, Copy, Debug, Default)]
 pub struct WalReadOptions {
-    /// Verify each record's checksum (mutant: `false` skips verification).
-    pub danger_verify_crc: bool,
-    /// Truncate a torn tail instead of failing (mutant: `false` turns any
-    /// torn tail into a hard error).
-    pub danger_truncate_torn_tail: bool,
-}
-
-impl Default for WalReadOptions {
-    fn default() -> Self {
-        Self {
-            danger_verify_crc: true,
-            danger_truncate_torn_tail: true,
-        }
-    }
+    /// Mutant: skip each record's checksum verification.
+    pub danger_skip_crc: bool,
+    /// Mutant: treat a torn tail as a hard error instead of truncating it.
+    pub danger_skip_tail_truncation: bool,
 }
 
 /// One decoded record plus where it sits in the file.
@@ -414,13 +405,13 @@ pub fn read_wal(path: &Path, opts: &WalReadOptions) -> Result<WalContents, Recov
     while off < bytes.len() {
         let remaining = bytes.len() - off;
         let torn = |detail: &str| -> Result<Option<u64>, RecoveryError> {
-            if opts.danger_truncate_torn_tail {
-                Ok(Some(off as u64))
-            } else {
+            if opts.danger_skip_tail_truncation {
                 Err(RecoveryError::corrupt(
                     path,
                     format!("torn tail at offset {off}: {detail}"),
                 ))
+            } else {
+                Ok(Some(off as u64))
             }
         };
         if remaining < FRAME_LEN {
@@ -439,7 +430,7 @@ pub fn read_wal(path: &Path, opts: &WalReadOptions) -> Result<WalContents, Recov
         let start = off;
         let payload = &bytes[off + FRAME_LEN..off + FRAME_LEN + len as usize];
         let end = off + FRAME_LEN + len as usize;
-        if opts.danger_verify_crc && crc32(payload) != crc {
+        if !opts.danger_skip_crc && crc32(payload) != crc {
             if end == bytes.len() {
                 // A final frame whose bytes are all present but whose
                 // checksum fails is still a torn write (the frame header
@@ -681,9 +672,9 @@ mod tests {
         let contents = read_wal(&path, &WalReadOptions::default()).unwrap();
         assert_eq!(contents.records.len(), recs.len() - 1);
         assert!(contents.truncated_at.is_some());
-        // Strict mode (the skip-truncation mutant's complement) refuses.
+        // The skip-truncation mutant (strict reader) refuses.
         let strict = WalReadOptions {
-            danger_truncate_torn_tail: false,
+            danger_skip_tail_truncation: true,
             ..WalReadOptions::default()
         };
         assert!(matches!(
@@ -722,7 +713,7 @@ mod tests {
         // a silently different record) — exactly what the harness's
         // mutation tests must catch at the model level.
         let weak = WalReadOptions {
-            danger_verify_crc: false,
+            danger_skip_crc: true,
             ..WalReadOptions::default()
         };
         match read_wal(&path, &weak) {

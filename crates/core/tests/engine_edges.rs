@@ -197,6 +197,8 @@ fn self_join_derives_each_new_pair_once() {
         )
         .unwrap();
     assert_eq!(naive.facts.total_facts(), semi.facts.total_facts());
+    // Every naive round is a full round, re-deriving earlier facts.
+    assert!(naive.stats.derivations > semi.stats.derivations);
 }
 
 #[test]

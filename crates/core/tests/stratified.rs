@@ -1,11 +1,13 @@
 //! Pinned behavior of the SCC-stratified evaluation schedule
 //! ([`seqlog_core::analysis::Schedule`], `Scheduling::Stratified` — the
-//! default): extent equality against the global semi-naive loop,
-//! bit-for-bit thread determinism *within* the stratified mode, the
-//! downstream-cone property for session delta updates (an assert that
-//! feeds only a late stratum never pays rounds for settled upstream
-//! strata), domain-feedback re-arming of domain-sensitive strata, and the
-//! one-quiescence-round contract under both scheduling modes.
+//! default): extent equality against `Scheduling::Global` (the same round
+//! loop over the one-stratum schedule holding every clause), bit-for-bit
+//! thread determinism *within* the stratified mode, the downstream-cone
+//! property for session delta updates (an assert that feeds only a late
+//! stratum never pays rounds for settled upstream strata),
+//! domain-feedback re-arming of domain-sensitive strata, and the
+//! one-quiescence-round contract under both scheduling modes, which agree
+//! bit for bit on single-stratum programs.
 
 use seqlog_core::database::Database;
 use seqlog_core::engine::Engine;
@@ -192,9 +194,14 @@ fn assert_feeding_late_stratum_skips_settled_upstream_strata() {
 }
 
 /// Quiescence contract, both scheduling modes: a run over a settled model
-/// still pays exactly one (synthetic, for stratified) round.
+/// still pays exactly one round. The program's condensation has exactly
+/// one clause-bearing stratum, so `Scheduling::Global` (the one-stratum
+/// schedule on the same loop) schedules it identically and both modes
+/// agree bit for bit, `EvalStats::rounds` included: neither counts a round
+/// whose plan is empty.
 #[test]
 fn settled_run_costs_one_quiescence_round_in_both_modes() {
+    let mut outcomes = Vec::new();
     for scheduling in [Scheduling::Stratified, Scheduling::Global] {
         let config = EvalConfig {
             scheduling,
@@ -210,7 +217,9 @@ fn settled_run_costs_one_quiescence_round_in_both_modes() {
             settled + 1,
             "settled run must cost one quiescence round under {scheduling:?}"
         );
+        outcomes.push((s.query("suffix"), s.stats()));
     }
+    assert_eq!(outcomes[0], outcomes[1], "scheduling modes differ");
 }
 
 /// Domain feedback across strata: a constructive stratum grows the

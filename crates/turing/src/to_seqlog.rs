@@ -16,7 +16,11 @@
 //!   the Theorem 2 undecidability proof), which surfaces here as a budget
 //!   error from the evaluator;
 //! * we add γ1 blank-padding (`X ++ "␣"`) and a head-on-marker output rule,
-//!   two boundary cases the paper's prose glosses over (see DESIGN.md).
+//!   two boundary cases the paper's prose glosses over: the padding keeps
+//!   the right part of every configuration non-empty (the right-move rule
+//!   preserves that), and the extra γ2 rule extracts the tape when the
+//!   machine halts with its head on the left marker, which the paper's rule
+//!   (head strictly right of the marker) does not cover.
 
 use crate::machine::{Move, TuringMachine};
 use seqlog_core::ast::{Atom, BodyLit, Clause, IndexTerm, IndexedBase, Program, SeqTerm};

@@ -4,7 +4,7 @@
 # (assert/retract interleavings vs fresh batch evaluation of the surviving
 # base facts) and the crash-injection recovery suite (durable sessions
 # killed at fuzzed WAL offsets, recovered, and compared bit-for-bit
-# against a fresh replay), the explicit sharded-commit threads matrix
+# against a fresh replay), the sharded-commit threads matrix
 # (every generated case forced through the sharded dedupe + task-order
 # merge at threads 1/2/4/8 plus the commit-phase mutation tests), the
 # demand-driven query oracle (query_bound ≡ filter of the batch fixpoint
@@ -32,50 +32,42 @@ cargo fmt --check
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q (includes tests/fuzz_differential.rs with its pinned seeds:"
-echo "    batch/incremental properties AND the retraction oracle — retract ≡ fresh"
-echo "    batch evaluation of the surviving base facts, 600 generated cases)"
-cargo test -q
-
-echo "==> cargo test -q --test fuzz_recovery (crash-injection recovery suite:"
-echo "    durable sessions killed at fuzzed WAL byte offsets and record"
-echo "    boundaries, recovered across threads 1/2/4/8, and compared"
-echo "    bit-for-bit against a fresh replay of the surviving log; plus"
-echo "    bit-flip corruption sweeps and the harness's own mutants —"
-echo "    skip-truncation, skip-checksum, stale-watermarks — being caught)"
-cargo test -q --test fuzz_recovery
-
-echo "==> sharded-commit threads matrix (explicit): every generated case"
+echo "==> cargo test -q — every crate's suites (the root Cargo.toml's"
+echo "    default-members cover the whole workspace), including:"
+echo "  * tests/fuzz_differential.rs with its pinned seeds: batch/incremental"
+echo "    properties AND the retraction oracle — retract ≡ fresh batch"
+echo "    evaluation of the surviving base facts, 600 generated cases"
+echo "  * tests/fuzz_recovery.rs (crash-injection recovery suite: durable"
+echo "    sessions killed at fuzzed WAL byte offsets and record boundaries,"
+echo "    recovered across threads 1/2/4/8, and compared bit-for-bit against"
+echo "    a fresh replay of the surviving log; plus bit-flip corruption"
+echo "    sweeps and the harness's own mutants — skip-truncation,"
+echo "    skip-checksum, stale-watermarks — being caught)"
+echo "  * the sharded-commit threads matrix (fuzz_differential and"
+echo "    fuzz_recovery sharded_commit*, mutant_*): every generated case"
 echo "    forced through the parallel sharded commit at threads 1/2/4/8 and"
 echo "    compared bit-for-bit against the sequential reference — assert-only"
 echo "    batches, retraction interleavings, and crash-recovery replays —"
 echo "    plus the commit-phase mutation tests (reversed shard-merge order,"
 echo "    skipped epoch freeze) being caught"
-cargo test -q --test fuzz_differential -- sharded_commit mutant_
-cargo test -q --test fuzz_recovery sharded_commit
-
-echo "==> cargo test -q --test fuzz_demand (demand-driven query oracle:"
-echo "    query_bound ≡ sorted filter of the batch fixpoint for every"
-echo "    populated predicate and every bound/free adornment of arity ≤ 3,"
-echo "    on settled and unsettled sessions, bit-for-bit across threads"
-echo "    1/2/4/8; plus the transformation mutants — dropped magic guard,"
-echo "    bypassed domain-sensitive fallback — being caught)"
-cargo test -q --test fuzz_demand
-
-echo "==> cargo test -q -p seqlog-transducer --test algebra (transducer-algebra"
-echo "    property suite: trim/determinize/compose/minimize preserve the"
-echo "    machine's relation against the brute-force extensional oracle on"
-echo "    random machines; equivalence agrees with extensional comparison;"
-echo "    plus the harness's own mutants — skip-trim, swapped composition"
-echo "    order — being caught)"
-cargo test -q -p seqlog-transducer --test algebra
-
-echo "==> cargo test -q --test fuzz_fusion (fusion differential: every"
-echo "    generated case extended with transducer-chain clauses, plus the"
-echo "    paper's transducer programs, evaluated with the compile-time"
-echo "    fusion pass on and off — extents bit-for-bit identical at threads"
-echo "    1/2/4/8, and the fused route provably doing less transducer work)"
-cargo test -q --test fuzz_fusion
+echo "  * tests/fuzz_demand.rs (demand-driven query oracle: query_bound ≡"
+echo "    sorted filter of the batch fixpoint for every populated predicate"
+echo "    and every bound/free adornment of arity ≤ 3, on settled and"
+echo "    unsettled sessions, bit-for-bit across threads 1/2/4/8; plus the"
+echo "    transformation mutants — dropped magic guard, bypassed"
+echo "    domain-sensitive fallback — being caught)"
+echo "  * crates/transducer/tests/algebra.rs (transducer-algebra property"
+echo "    suite: trim/determinize/compose/minimize preserve the machine's"
+echo "    relation against the brute-force extensional oracle on random"
+echo "    machines; equivalence agrees with extensional comparison; plus the"
+echo "    harness's own mutants — skip-trim, swapped composition order —"
+echo "    being caught)"
+echo "  * tests/fuzz_fusion.rs (fusion differential: every generated case"
+echo "    extended with transducer-chain clauses, plus the paper's transducer"
+echo "    programs, evaluated with the compile-time fusion pass on and off —"
+echo "    extents bit-for-bit identical at threads 1/2/4/8, and the fused"
+echo "    route provably doing less transducer work)"
+cargo test -q
 
 echo "==> lint analyzer over the program corpus (examples/programs/*.sdl):"
 echo "    SL001..SL009 diagnostics must match each file's % expect: directive"

@@ -13,8 +13,9 @@
 //! * [`transducer`] — generalized transducers and acyclic networks,
 //! * [`turing`] — Turing machines and the Theorem 1 / Theorem 5 compilers.
 //!
-//! See `README.md` for a quickstart, `DESIGN.md` for the system inventory and
-//! `EXPERIMENTS.md` for the reproduced results.
+//! See `README.md` for a quickstart, the crate layout and the engine's design
+//! notes; `cargo run -p seqlog-bench --bin experiments --release` prints the
+//! reproduced results (one section per figure or claim of the paper).
 
 pub use seqlog_core as core;
 pub use seqlog_sequence as sequence;

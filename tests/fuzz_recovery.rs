@@ -39,7 +39,7 @@ use seqlog_testkit::{
     crash_at, durable_run, interleaved_cases_with_gd, kill_offsets, recover_session,
     session_outcome, wal_replay_outcome, wal_surviving_batch_outcome, InterleavedCase, Op,
 };
-use sequence_datalog::core::wal::WAL_FILE;
+use sequence_datalog::core::wal::{WalReadOptions, WAL_FILE};
 use sequence_datalog::core::{DurabilityOptions, EvalConfig, EvalError, RecoveryError};
 use std::fs;
 
@@ -330,7 +330,10 @@ fn mutant_skipping_tail_truncation_is_caught() {
         .expect("kill_offsets includes mid-record torn tails");
     let crashed = crash_at(&run, mid_record);
     let mutant = DurabilityOptions {
-        danger_skip_tail_truncation: true,
+        wal_read: WalReadOptions {
+            danger_skip_tail_truncation: true,
+            ..Default::default()
+        },
         ..fuzz_opts()
     };
     match recover_session(&case.program, crashed.path(), &config, &mutant) {
@@ -381,7 +384,10 @@ fn mutant_skipping_crc_verification_is_caught() {
 
     let mutant = DurabilityOptions {
         snapshot_every: 0,
-        danger_skip_crc: true,
+        wal_read: WalReadOptions {
+            danger_skip_crc: true,
+            ..Default::default()
+        },
         ..Default::default()
     };
     match recover_session(&case.program, crashed.path(), &config, &mutant) {
